@@ -1244,6 +1244,137 @@ let bench_explore_json ?(smoke = false) () =
 
 (* ------------------------------------------------------------------ *)
 
+(* [bench predict]: how BAD prediction cost grows with graph size.  Per
+   size, one whole Predictor.predict of [random_dag ~seed:7] (single-cycle
+   style on the experiment library, the configuration of the paper's
+   experiment 1) is timed [repeats] times and the median kept; then the
+   list-based pipeline is replayed stage by stage, summing seconds per
+   stage over every schedule: allocation enumeration, list scheduling,
+   lifetime analysis, data-path estimate (which runs its own lifetime
+   analysis), controller shape and the pipelined II search.  The gates
+   compare time ratios between sizes, never absolute seconds: 1000 ops
+   may cost at most 20x 100 ops (the full run), 300 ops at most 6x 100 ops
+   (--smoke).  The full run writes BENCH_predict.json. *)
+let bench_predict_json ?(smoke = false) () =
+  section
+    (if smoke then "BAD predict scaling smoke run (28/100/300 ops, no JSON)"
+     else "BAD predict scaling (BENCH_predict.json)");
+  let t_start = Unix.gettimeofday () in
+  let cfg =
+    Chop_bad.Predictor.config ~library:Chop_tech.Mosis.experiment_library
+      ~clocks:(Chop_tech.Clocking.make ~main:300. ~datapath_ratio:10 ~transfer_ratio:1)
+      ~style:(Chop_tech.Style.both Chop_tech.Style.Single_cycle)
+      ()
+  in
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  let stage_names =
+    [ "alloc_enum"; "list_sched"; "lifetime"; "datapath"; "control"; "min_ii" ]
+  in
+  let row ops =
+    let g = Chop_dfg.Benchmarks.random_dag ~ops ~seed:7 () in
+    let repeats = if ops >= 1000 then 3 else 5 in
+    let runs =
+      List.init repeats (fun _ ->
+          timed (fun () -> Chop_bad.Predictor.predict cfg ~label:"P1" g))
+    in
+    let predictions = List.length (fst (List.hd runs)) in
+    let walls = List.sort Float.compare (List.map snd runs) in
+    let predict_s = List.nth walls (repeats / 2) in
+    let stages = Hashtbl.create 8 in
+    let span name f =
+      let r, dt = timed f in
+      Hashtbl.replace stages name
+        (dt +. Option.value ~default:0. (Hashtbl.find_opt stages name));
+      r
+    in
+    let schedules = ref 0 in
+    List.iter
+      (fun mset ->
+        let latency = Chop_bad.Predictor.latency_function cfg ~module_set:mset in
+        let allocs =
+          span "alloc_enum" (fun () ->
+              Chop_bad.Alloc_enum.enumerate ~cap:cfg.Chop_bad.Predictor.alloc_cap
+                ~latency ~memport_units:[] g)
+        in
+        List.iter
+          (fun alloc ->
+            incr schedules;
+            let sched =
+              span "list_sched" (fun () -> Chop_sched.List_sched.run ~latency ~alloc g)
+            in
+            ignore (span "lifetime" (fun () -> Chop_sched.Lifetime.analyze sched));
+            let est =
+              span "datapath" (fun () ->
+                  Chop_bad.Datapath.estimate ~module_set:mset sched)
+            in
+            ignore
+              (span "control" (fun () ->
+                   Chop_bad.Control.shape ~sched ~est
+                     ~ii:sched.Chop_sched.Schedule.length ~pipelined:false));
+            ignore (span "min_ii" (fun () -> Chop_sched.Pipeline.min_ii sched)))
+          allocs)
+      (Chop_tech.Component.module_sets cfg.Chop_bad.Predictor.library g);
+    let stage name = Option.value ~default:0. (Hashtbl.find_opt stages name) in
+    Printf.printf
+      "  %5d ops  %8.4f s predict (median of %d)  %d predictions  %d schedules\n"
+      ops predict_s repeats predictions !schedules;
+    Printf.printf "             %s\n"
+      (String.concat "  "
+         (List.map (fun n -> Printf.sprintf "%s %.4f s" n (stage n)) stage_names));
+    ( ops,
+      predict_s,
+      repeats,
+      predictions,
+      !schedules,
+      List.map (fun n -> (n, stage n)) stage_names )
+  in
+  let sizes = if smoke then [ 28; 100; 300 ] else [ 28; 100; 300; 1000 ] in
+  let rows = List.map row sizes in
+  let seconds ops =
+    List.find_map (fun (o, s, _, _, _, _) -> if o = ops then Some s else None) rows
+    |> Option.get
+  in
+  let num, gate = if smoke then (300, 6.) else (1000, 20.) in
+  let ratio = seconds num /. seconds 100 in
+  let target = 15. in
+  Printf.printf "  %d/100-op predict time ratio: %.1fx (gate <= %.0fx)\n" num ratio gate;
+  if not smoke then
+    Printf.printf "  ROADMAP target (<= %.0fx): %s\n" target
+      (if ratio <= target then "met" else "not met");
+  let wall = Unix.gettimeofday () -. t_start in
+  if not smoke then begin
+    let entry (ops, predict_s, repeats, predictions, schedules, stages) =
+      Printf.sprintf
+        "    {\"ops\": %d, \"predict_seconds\": %.6f, \"repeats\": %d, \
+         \"predictions\": %d, \"schedules\": %d, \"stage_seconds\": {%s}}"
+        ops predict_s repeats predictions schedules
+        (String.concat ", "
+           (List.map (fun (n, s) -> Printf.sprintf "\"%s\": %.6f" n s) stages))
+    in
+    let oc = open_out "BENCH_predict.json" in
+    Printf.fprintf oc
+      "{\n  \"host_cores\": %d,\n  \"graph\": \"random_dag ~seed:7\",\n  \
+       \"config\": \"single-cycle, experiment library\",\n  \
+       \"wall_seconds\": %.3f,\n  \"ratio_1000_100\": %.3f,\n  \
+       \"gate_1000_100\": %.1f,\n  \"target_1000_100\": %.1f,\n  \
+       \"target_met\": %b,\n  \"entries\": [\n%s\n  ]\n}\n"
+      (Domain.recommended_domain_count ()) wall ratio gate target (ratio <= target)
+      (String.concat ",\n" (List.map entry rows));
+    close_out oc;
+    print_endline "  wrote BENCH_predict.json"
+  end
+  else print_endline "  (BENCH_predict.json left untouched)";
+  if ratio > gate then begin
+    prerr_endline "bench predict: scaling gate violated";
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
+
 (* [bench serve]: load-generate against an in-process chop server over a
    Unix-domain socket.  Cold requests hit fresh engine keys (engine
    construction + BAD prediction); warm requests repeat the first key and
@@ -2268,6 +2399,10 @@ let bench_gateway_json ?(smoke = false) () =
   end
 
 let () =
+  if Array.exists (fun a -> a = "predict") Sys.argv then begin
+    bench_predict_json ~smoke:(Array.exists (fun a -> a = "--smoke") Sys.argv) ();
+    exit 0
+  end;
   if Array.exists (fun a -> a = "gateway") Sys.argv then begin
     bench_gateway_json ~smoke:(Array.exists (fun a -> a = "--smoke") Sys.argv) ();
     exit 0

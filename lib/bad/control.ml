@@ -2,10 +2,9 @@ let shape ~sched ~est ~ii ~pipelined =
   let g = sched.Chop_sched.Schedule.graph in
   let states = if pipelined then max 1 ii else max 1 sched.Chop_sched.Schedule.length in
   let comparisons =
-    List.length
-      (List.filter
-         (fun n -> n.Chop_dfg.Graph.op = Chop_dfg.Op.Compare)
-         (Chop_dfg.Graph.operations g))
+    List.fold_left
+      (fun k n -> if n.Chop_dfg.Graph.op = Chop_dfg.Op.Compare then k + 1 else k)
+      0 (Chop_dfg.Graph.operations g)
   in
   (* start/done handshake with the distributed control network *)
   let status_inputs = 2 + comparisons in

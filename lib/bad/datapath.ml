@@ -41,13 +41,13 @@ let estimate ~module_set ?ii sched =
   (* Register-file input steering: values outnumbering registers share
      register inputs. *)
   let n_values =
-    List.length (Chop_dfg.Graph.operations g) + List.length (Chop_dfg.Graph.inputs g)
+    Chop_dfg.Graph.op_count g + List.length (Chop_dfg.Graph.inputs g)
   in
   let writers = Chop_util.Units.ceil_div (max 1 n_values) peak_values in
   let reg_mux = (writers - 1) * register_bits in
   let mux_count = fu_mux + reg_mux in
   let nets =
-    List.length (Chop_dfg.Graph.edges g) + (mux_count / 8) + (register_bits / 8)
+    Chop_dfg.Graph.edge_count g + (mux_count / 8) + (register_bits / 8)
   in
   let fu_area =
     List.fold_left

@@ -118,21 +118,19 @@ let slowest_resource cfg mset g =
 
 let mem_bandwidth sched =
   let g = sched.Chop_sched.Schedule.graph in
-  let blocks = Chop_dfg.Graph.memory_blocks g in
   List.map
     (fun block ->
-      let horizon = max 1 sched.Chop_sched.Schedule.length in
-      let per_step = Array.make horizon 0 in
-      List.iter
-        (fun (id, st) ->
-          let n = Chop_dfg.Graph.node g id in
-          match Chop_dfg.Op.memory_block n.Chop_dfg.Graph.op with
-          | Some b when b = block ->
-              if st < horizon then per_step.(st) <- per_step.(st) + 1
-          | Some _ | None -> ())
-        sched.Chop_sched.Schedule.starts;
+      let per_step = Array.make (max 1 sched.Chop_sched.Schedule.length) 0 in
+      Array.iter
+        (fun id ->
+          if Chop_dfg.Op.memory_block (Chop_dfg.Graph.node g id).Chop_dfg.Graph.op
+             = Some block
+          then
+            let st = sched.Chop_sched.Schedule.starts.(id) in
+            if st < Array.length per_step then per_step.(st) <- per_step.(st) + 1)
+        sched.Chop_sched.Schedule.order;
       (block, Array.fold_left max 0 per_step))
-    blocks
+    (Chop_dfg.Graph.memory_blocks g)
 
 let power_estimate mset alloc est shape =
   let fu =

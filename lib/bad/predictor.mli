@@ -67,6 +67,10 @@ val latency_function :
     Exposed so downstream synthesis ({!module:Chop_rtl}-style backends) can
     rebuild exactly the schedule a prediction describes. *)
 
+val mem_bandwidth : Chop_sched.Schedule.t -> (string * int) list
+(** Per memory block of the scheduled graph (sorted by name): the peak
+    number of its accesses starting in any one step. *)
+
 val predict : config -> label:string -> Chop_dfg.Graph.t -> Prediction.t list
 (** Every enumerated predicted implementation of the given behavioral graph
     (no feasibility pruning: that is CHOP's job).  The result is empty when

@@ -45,7 +45,7 @@ let digest g =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (string_of_int (List.length nodes));
   Buffer.add_char buf ':';
-  Buffer.add_string buf (string_of_int (List.length (Graph.edges g)));
+  Buffer.add_string buf (string_of_int (Graph.edge_count g));
   Buffer.add_char buf '|';
   List.iter (Buffer.add_string buf) pairs;
   Digest.to_hex (Digest.string (Buffer.contents buf))

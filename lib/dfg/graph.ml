@@ -1,6 +1,3 @@
-module IntMap = Map.Make (Int)
-module IntSet = Set.Make (Int)
-
 type node_id = int
 
 type node = {
@@ -10,12 +7,22 @@ type node = {
   name : string;
 }
 
+(* Builder ids are dense [0..size-1], so nodes and adjacency live in
+   arrays indexed by id.  The node lists every BAD stage asks for are
+   derived once here rather than on each call. *)
 type t = {
   gname : string;
-  node_map : node IntMap.t;
-  succ_map : node_id list IntMap.t; (* in edge-insertion order *)
-  pred_map : node_id list IntMap.t;
-  order : node_id list; (* topological order, computed at build time *)
+  node_arr : node array;
+  succ_arr : node_id list array; (* in edge-insertion order *)
+  pred_arr : node_id list array;
+  topo : node list; (* topological order, computed at build time *)
+  ops : node list; (* computational nodes, topological order *)
+  n_ops : int;
+  ins : node list;
+  outs : node list;
+  profile : (string * int) list;
+  edge_count : int;
+  blocks : string list;
 }
 
 type builder = {
@@ -44,105 +51,100 @@ let add_edge b ~src ~dst =
   if not (known src && known dst) then invalid_arg "Graph.add_edge: unknown node";
   b.bedges <- (src, dst) :: b.bedges
 
-let multi_add key v m =
-  IntMap.update key (function None -> Some [ v ] | Some vs -> Some (v :: vs)) m
-
-(* Kahn's algorithm; raises on cycles. *)
-let topological node_map pred_map succ_map =
-  let indeg =
-    IntMap.map (fun _ -> 0) node_map
-    |> IntMap.mapi (fun id _ ->
-           match IntMap.find_opt id pred_map with
-           | None -> 0
-           | Some ps -> List.length ps)
-  in
+(* Kahn's algorithm; raises on cycles.  The ready list is a stack seeded
+   in id order, newly ready successors pushed in discovery order. *)
+let topological pred_arr succ_arr =
+  let indeg = Array.map List.length pred_arr in
   let ready =
-    IntMap.fold (fun id d acc -> if d = 0 then id :: acc else acc) indeg []
-    |> List.sort Stdlib.compare
+    List.filter (fun id -> indeg.(id) = 0) (List.init (Array.length indeg) Fun.id)
   in
-  let rec go order indeg = function
+  let rec go order = function
     | [] -> order
     | id :: rest ->
-        let succs = Option.value ~default:[] (IntMap.find_opt id succ_map) in
-        let indeg, newly =
+        let newly =
           List.fold_left
-            (fun (indeg, newly) s ->
-              let d = IntMap.find s indeg - 1 in
-              (IntMap.add s d indeg, if d = 0 then s :: newly else newly))
-            (indeg, []) succs
+            (fun newly s ->
+              indeg.(s) <- indeg.(s) - 1;
+              if indeg.(s) = 0 then s :: newly else newly)
+            [] succ_arr.(id)
         in
-        go (id :: order) indeg (List.rev_append newly rest)
+        go (id :: order) (List.rev_append newly rest)
   in
-  let order = List.rev (go [] indeg ready) in
-  if List.length order <> IntMap.cardinal node_map then
+  let order = List.rev (go [] ready) in
+  if List.length order <> Array.length pred_arr then
     raise (Invalid_graph "cycle detected: behavioral DFGs must be acyclic");
   order
 
 let build b =
-  let node_map =
-    List.fold_left (fun m n -> IntMap.add n.id n m) IntMap.empty b.bnodes
-  in
-  let succ_map, pred_map =
-    List.fold_left
-      (fun (s, p) (src, dst) -> (multi_add src dst s, multi_add dst src p))
-      (IntMap.empty, IntMap.empty)
-      (List.rev b.bedges)
-  in
-  (* multi_add prepends: restore edge-insertion order, which carries the
-     operand positions of non-commutative operations (Sub, Select, ...) *)
-  let succ_map = IntMap.map List.rev succ_map in
-  let pred_map = IntMap.map List.rev pred_map in
-  IntMap.iter
-    (fun id n ->
-      let indeg =
-        match IntMap.find_opt id pred_map with None -> 0 | Some ps -> List.length ps
-      in
-      let lo, hi = Op.arity n.op in
+  let node_arr = Array.of_list (List.rev b.bnodes) in
+  let n = Array.length node_arr in
+  let succ_arr = Array.make n [] and pred_arr = Array.make n [] in
+  (* [bedges] is newest-first, so prepending restores edge-insertion order,
+     which carries the operand positions of non-commutative operations
+     (Sub, Select, ...) *)
+  List.iter
+    (fun (src, dst) ->
+      succ_arr.(src) <- dst :: succ_arr.(src);
+      pred_arr.(dst) <- src :: pred_arr.(dst))
+    b.bedges;
+  Array.iter
+    (fun nd ->
+      let indeg = List.length pred_arr.(nd.id) in
+      let lo, hi = Op.arity nd.op in
       if indeg < lo || indeg > hi then
         raise
           (Invalid_graph
-             (Printf.sprintf "node %s (%s) has %d inputs, expected %d..%d" n.name
-                (Op.to_string n.op) indeg lo hi)))
-    node_map;
-  let order = topological node_map pred_map succ_map in
-  { gname = b.bname; node_map; succ_map; pred_map; order }
+             (Printf.sprintf "node %s (%s) has %d inputs, expected %d..%d" nd.name
+                (Op.to_string nd.op) indeg lo hi)))
+    node_arr;
+  let topo = List.map (fun id -> node_arr.(id)) (topological pred_arr succ_arr) in
+  let ops = List.filter (fun nd -> Op.is_computational nd.op) topo in
+  let profile =
+    List.map (fun nd -> Op.functional_class nd.op) ops
+    |> List.sort String.compare
+    |> List.fold_left
+         (fun acc cls ->
+           match acc with
+           | (c, k) :: rest when String.equal c cls -> (c, k + 1) :: rest
+           | _ -> (cls, 1) :: acc)
+         []
+    |> List.rev
+  in
+  {
+    gname = b.bname;
+    node_arr;
+    succ_arr;
+    pred_arr;
+    topo;
+    ops;
+    n_ops = List.length ops;
+    ins = List.filter (fun nd -> nd.op = Op.Input) topo;
+    outs = List.filter (fun nd -> nd.op = Op.Output) topo;
+    profile;
+    edge_count = List.length b.bedges;
+    blocks =
+      List.filter_map (fun nd -> Op.memory_block nd.op) topo
+      |> List.sort_uniq String.compare;
+  }
 
 let name g = g.gname
-let size g = IntMap.cardinal g.node_map
-let nodes g = List.map (fun id -> IntMap.find id g.node_map) g.order
-
-let node g id =
-  match IntMap.find_opt id g.node_map with
-  | Some n -> n
-  | None -> raise Not_found
-
-let mem g id = IntMap.mem id g.node_map
-let succs g id = Option.value ~default:[] (IntMap.find_opt id g.succ_map)
-let preds g id = Option.value ~default:[] (IntMap.find_opt id g.pred_map)
+let size g = Array.length g.node_arr
+let nodes g = g.topo
+let mem g id = id >= 0 && id < Array.length g.node_arr
+let node g id = if mem g id then g.node_arr.(id) else raise Not_found
+let succs g id = if mem g id then g.succ_arr.(id) else []
+let preds g id = if mem g id then g.pred_arr.(id) else []
 
 let edges g =
-  List.concat_map
-    (fun id -> List.map (fun s -> (id, s)) (succs g id))
-    g.order
+  List.concat_map (fun n -> List.map (fun s -> (n.id, s)) g.succ_arr.(n.id)) g.topo
 
-let inputs g = List.filter (fun n -> n.op = Op.Input) (nodes g)
-let outputs g = List.filter (fun n -> n.op = Op.Output) (nodes g)
-let operations g = List.filter (fun n -> Op.is_computational n.op) (nodes g)
-let op_count g = List.length (operations g)
-
-let op_profile g =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun n ->
-      let cls = Op.functional_class n.op in
-      Hashtbl.replace tbl cls (1 + Option.value ~default:0 (Hashtbl.find_opt tbl cls)))
-    (operations g);
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let memory_blocks g =
-  List.filter_map (fun n -> Op.memory_block n.op) (nodes g)
-  |> List.sort_uniq String.compare
+let edge_count g = g.edge_count
+let inputs g = g.ins
+let outputs g = g.outs
+let operations g = g.ops
+let op_count g = g.n_ops
+let op_profile g = g.profile
+let memory_blocks g = g.blocks
 
 let total_input_bits g = Chop_util.Listx.sum_by (fun n -> n.width) (inputs g)
 let total_output_bits g =
@@ -173,26 +175,25 @@ let induced g ~name keep =
       if not (Op.is_computational (node g id).op) then
         invalid_arg "Graph.induced: boundary nodes cannot be selected")
     keep;
-  let keep_set = IntSet.of_list keep in
+  let kept = Array.make (size g) false in
+  List.iter (fun id -> kept.(id) <- true) keep;
   let b = builder ~name () in
-  let fresh = Hashtbl.create 16 in
-  (* map original kept node id -> new id *)
+  (* original kept node id -> new id *)
+  let fresh = Array.make (size g) (-1) in
   List.iter
-    (fun id ->
-      if IntSet.mem id keep_set then
-        let n = node g id in
-        Hashtbl.replace fresh id (add_node b ~name:n.name ~op:n.op ~width:n.width))
-    g.order;
+    (fun n ->
+      if kept.(n.id) then
+        fresh.(n.id) <- add_node b ~name:n.name ~op:n.op ~width:n.width)
+    g.topo;
   let in_map = Hashtbl.create 8 and out_map = Hashtbl.create 8 in
   (* External producers feeding kept nodes become Inputs (one per producer). *)
   List.iter
-    (fun id ->
-      if IntSet.mem id keep_set then
+    (fun n ->
+      if kept.(n.id) then
         List.iter
           (fun p ->
-            let dst = Hashtbl.find fresh id in
-            if IntSet.mem p keep_set then
-              add_edge b ~src:(Hashtbl.find fresh p) ~dst
+            let dst = fresh.(n.id) in
+            if kept.(p) then add_edge b ~src:fresh.(p) ~dst
             else
               let src =
                 match Hashtbl.find_opt in_map p with
@@ -210,23 +211,20 @@ let induced g ~name keep =
                     s
               in
               add_edge b ~src ~dst)
-          (preds g id))
-    g.order;
+          g.pred_arr.(n.id))
+    g.topo;
   (* Kept producers feeding external consumers (or original outputs) become
      Outputs (one per producer). *)
   List.iter
-    (fun id ->
-      if IntSet.mem id keep_set then
-        let escapes =
-          List.exists (fun s -> not (IntSet.mem s keep_set)) (succs g id)
-        in
-        if escapes && not (Hashtbl.mem out_map id) then begin
-          let n = node g id in
+    (fun n ->
+      if kept.(n.id) then
+        let escapes = List.exists (fun s -> not kept.(s)) g.succ_arr.(n.id) in
+        if escapes && not (Hashtbl.mem out_map n.id) then begin
           let o = add_node b ~name:("out_" ^ n.name) ~op:Op.Output ~width:n.width in
-          add_edge b ~src:(Hashtbl.find fresh id) ~dst:o;
-          Hashtbl.replace out_map id o
+          add_edge b ~src:fresh.(n.id) ~dst:o;
+          Hashtbl.replace out_map n.id o
         end)
-    g.order;
+    g.topo;
   let assoc tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
   (build b, assoc in_map, assoc out_map)
 

@@ -51,10 +51,15 @@ val mem : t -> node_id -> bool
 val succs : t -> node_id -> node_id list
 val preds : t -> node_id -> node_id list
 val edges : t -> (node_id * node_id) list
+val edge_count : t -> int
+(** [List.length (edges g)], computed once at {!build}. *)
+
 val inputs : t -> node list
 val outputs : t -> node list
 val operations : t -> node list
-(** Computational nodes only (see {!Op.is_computational}). *)
+(** Computational nodes only (see {!Op.is_computational}), in topological
+    order.  This list, [inputs], [outputs], [op_count], [op_profile],
+    [memory_blocks] and [edge_count] are computed once at {!build}. *)
 
 val op_count : t -> int
 val op_profile : t -> (string * int) list

@@ -25,25 +25,6 @@ let op_cycles (n : Chop_dfg.Graph.node) =
   | Chop_dfg.Op.Mem_read _ | Chop_dfg.Op.Mem_write _ -> 2
   | _ -> 1
 
-(* peak accesses per cycle per block, same measure as the hardware BAD *)
-let mem_bandwidth sched =
-  let g = sched.Chop_sched.Schedule.graph in
-  let blocks = Chop_dfg.Graph.memory_blocks g in
-  List.map
-    (fun block ->
-      let horizon = max 1 sched.Chop_sched.Schedule.length in
-      let per_step = Array.make horizon 0 in
-      List.iter
-        (fun (id, st) ->
-          let n = Chop_dfg.Graph.node g id in
-          match Chop_dfg.Op.memory_block n.Chop_dfg.Graph.op with
-          | Some b when b = block ->
-              if st < horizon then per_step.(st) <- per_step.(st) + 1
-          | Some _ | None -> ())
-        sched.Chop_sched.Schedule.starts;
-      (block, Array.fold_left max 0 per_step))
-    blocks
-
 (* watts are not the software model's constraint, but the power screen
    still applies: charge a nominal per-slot figure so a power budget can
    steer issue width *)
@@ -108,7 +89,7 @@ let predict (p : Processor.t) ~clocks ~label sub =
           mux_count = 0;
           controller_shape =
             { Chop_tech.Pla.inputs = 0; outputs = 0; product_terms = 0 };
-          mem_bandwidth = mem_bandwidth sched;
+          mem_bandwidth = Chop_bad.Predictor.mem_bandwidth sched;
           power = power_per_slot *. float_of_int issue;
         })
   end

@@ -2,18 +2,20 @@ type fu_instance = { fu_class : string; fu_index : int }
 
 let bind_functional_units sched =
   let g = sched.Chop_sched.Schedule.graph in
+  let starts = sched.Chop_sched.Schedule.starts in
   (* (class, index) -> step the instance becomes free *)
   let free = Hashtbl.create 16 in
   let in_start_order =
-    List.sort
-      (fun (_, a) (_, b) -> Int.compare a b)
-      sched.Chop_sched.Schedule.starts
+    List.stable_sort
+      (fun a b -> Int.compare starts.(a) starts.(b))
+      (Array.to_list sched.Chop_sched.Schedule.order)
   in
   List.map
-    (fun (id, start) ->
+    (fun id ->
+      let start = starts.(id) in
       let n = Chop_dfg.Graph.node g id in
       let cls = Chop_dfg.Op.functional_class n.Chop_dfg.Graph.op in
-      let lat = List.assoc id sched.Chop_sched.Schedule.latencies in
+      let lat = sched.Chop_sched.Schedule.latencies.(id) in
       let cap = Chop_sched.Schedule.alloc_get sched.Chop_sched.Schedule.alloc cls in
       let rec pick i =
         if i >= cap then
@@ -32,58 +34,15 @@ let bind_functional_units sched =
       (id, { fu_class = cls; fu_index = pick 0 }))
     in_start_order
 
-type interval = {
-  producer : Chop_dfg.Graph.node_id;
-  birth : int;
-  death : int;
-  width : Chop_util.Units.bits;
-}
-
 let value_intervals sched =
-  let g = sched.Chop_sched.Schedule.graph in
-  (* +1: output-feeding values outlive the final step (see Lifetime) *)
-  let horizon = max 1 sched.Chop_sched.Schedule.length + 1 in
-  List.filter_map
-    (fun n ->
-      let id = n.Chop_dfg.Graph.id in
-      let consumers =
-        List.filter
-          (fun c ->
-            Chop_dfg.Op.is_computational (Chop_dfg.Graph.node g c).Chop_dfg.Graph.op)
-          (Chop_dfg.Graph.succs g id)
-      in
-      let feeds_output =
-        List.exists
-          (fun c -> (Chop_dfg.Graph.node g c).Chop_dfg.Graph.op = Chop_dfg.Op.Output)
-          (Chop_dfg.Graph.succs g id)
-      in
-      let birth =
-        match n.Chop_dfg.Graph.op with
-        | Chop_dfg.Op.Input -> Some 0
-        | Chop_dfg.Op.Const -> None
-        | op when Chop_dfg.Op.is_computational op ->
-            Some (Chop_sched.Schedule.finish sched id)
-        | _ -> None
-      in
-      match birth with
-      | None -> None
-      | Some birth ->
-          if consumers = [] && not feeds_output then None
-          else
-            let last_use =
-              List.fold_left
-                (fun acc c -> max acc (Chop_sched.Schedule.start sched c + 1))
-                birth consumers
-            in
-            let death = if feeds_output then horizon else last_use in
-            Some { producer = id; birth; death = max death (birth + 1);
-                   width = n.Chop_dfg.Graph.width })
-    (Chop_dfg.Graph.nodes g)
+  Chop_sched.Lifetime.intervals
+    ~output_death:(max 1 sched.Chop_sched.Schedule.length + 1)
+    sched
 
 let bind_registers sched =
   let intervals =
     List.sort
-      (fun a b ->
+      (fun (a : Chop_sched.Lifetime.interval) b ->
         match Int.compare a.birth b.birth with
         | 0 -> Int.compare a.death b.death
         | n -> n)
@@ -94,7 +53,7 @@ let bind_registers sched =
   let next = ref 0 in
   let assignment =
     List.map
-      (fun iv ->
+      (fun (iv : Chop_sched.Lifetime.interval) ->
         let candidate =
           List.find_opt (fun (_, last) -> last <= iv.birth) !regs
         in

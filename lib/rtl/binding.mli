@@ -16,17 +16,9 @@ val bind_functional_units :
     the operation's whole occupancy.  Never exceeds the schedule's
     allocation (guaranteed by the schedule's resource feasibility). *)
 
-type interval = {
-  producer : Chop_dfg.Graph.node_id;
-  birth : int;  (** step the value becomes available *)
-  death : int;  (** exclusive: last step the value is needed *)
-  width : Chop_util.Units.bits;
-}
-
-val value_intervals : Chop_sched.Schedule.t -> interval list
-(** Lifetime interval of every value that must be stored: operation results
-    with consumers or feeding outputs, and primary-input values.  Constants
-    are excluded (they live in dedicated storage). *)
+val value_intervals : Chop_sched.Schedule.t -> Chop_sched.Lifetime.interval list
+(** {!Chop_sched.Lifetime.intervals}, with values feeding primary outputs
+    held one step past the schedule's end, into the output register. *)
 
 val bind_registers :
   Chop_sched.Schedule.t -> (Chop_dfg.Graph.node_id * int) list * int

@@ -74,14 +74,15 @@ let run ?(inputs = []) ?(consts = []) ?memory sched =
      lands at its finish (before the reads of operations starting then) *)
   let by_start = Hashtbl.create 32 and by_finish = Hashtbl.create 32 in
   let pending = Hashtbl.create 32 in
-  List.iter
-    (fun (id, s) ->
+  Array.iter
+    (fun id ->
+      let s = Chop_sched.Schedule.start sched id in
       Hashtbl.replace by_start s
         (id :: Option.value ~default:[] (Hashtbl.find_opt by_start s));
       let f = Chop_sched.Schedule.finish sched id in
       Hashtbl.replace by_finish f
         (id :: Option.value ~default:[] (Hashtbl.find_opt by_finish f)))
-    sched.Chop_sched.Schedule.starts;
+    sched.Chop_sched.Schedule.order;
   for step = 0 to sched.Chop_sched.Schedule.length do
     (* retire: apply the writes of operations finishing here *)
     List.iter

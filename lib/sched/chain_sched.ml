@@ -1,5 +1,3 @@
-module IntMap = Map.Make (Int)
-
 let run ~delay ~budget ~alloc g =
   if budget <= 0. then invalid_arg "Chain_sched.run: non-positive budget";
   Schedule.validate_alloc alloc;
@@ -16,40 +14,37 @@ let run ~delay ~budget ~alloc g =
                            offers %.0f"
              n.Chop_dfg.Graph.name (delay n) budget))
     ops;
+  let n_nodes = Chop_dfg.Graph.size g in
   (* urgency in combinational ns, to prioritize long chains *)
-  let urgency =
-    let order = List.rev (Chop_dfg.Analysis.topological_order g) in
-    List.fold_left
-      (fun acc id ->
-        let n = Chop_dfg.Graph.node g id in
-        let own =
-          if Chop_dfg.Op.is_computational n.Chop_dfg.Graph.op then delay n else 0.
-        in
-        let downstream =
-          List.fold_left
-            (fun best s -> Float.max best (IntMap.find s acc))
-            0. (Chop_dfg.Graph.succs g id)
-        in
-        IntMap.add id (own +. downstream) acc)
-      IntMap.empty order
-  in
+  let urgency = Array.make n_nodes 0. in
+  List.iter
+    (fun n ->
+      let own =
+        if Chop_dfg.Op.is_computational n.Chop_dfg.Graph.op then delay n else 0.
+      in
+      let downstream =
+        List.fold_left
+          (fun best s -> Float.max best urgency.(s))
+          0. (Chop_dfg.Graph.succs g n.Chop_dfg.Graph.id)
+      in
+      urgency.(n.Chop_dfg.Graph.id) <- own +. downstream)
+    (List.rev (Chop_dfg.Graph.nodes g));
   (* process in topological order, most urgent first within a level *)
-  let asap = Chop_dfg.Analysis.asap g in
+  let asap = Array.make n_nodes 0 in
+  List.iter (fun (id, s) -> asap.(id) <- s) (Chop_dfg.Analysis.asap g);
   let order =
     List.stable_sort
       (fun a b ->
-        Float.compare (IntMap.find b.Chop_dfg.Graph.id urgency)
-          (IntMap.find a.Chop_dfg.Graph.id urgency))
+        Float.compare urgency.(b.Chop_dfg.Graph.id) urgency.(a.Chop_dfg.Graph.id))
       ops
     |> List.stable_sort (fun a b ->
-           Int.compare (List.assoc a.Chop_dfg.Graph.id asap)
-             (List.assoc b.Chop_dfg.Graph.id asap))
+           Int.compare asap.(a.Chop_dfg.Graph.id) asap.(b.Chop_dfg.Graph.id))
   in
   let usage = Hashtbl.create 64 in
   let used cls step =
     Option.value ~default:0 (Hashtbl.find_opt usage (cls, step))
   in
-  let starts = ref IntMap.empty and offsets = ref IntMap.empty in
+  let starts = Array.make n_nodes 0 and offsets = Array.make n_nodes 0. in
   List.iter
     (fun n ->
       let id = n.Chop_dfg.Graph.id in
@@ -64,8 +59,8 @@ let run ~delay ~budget ~alloc g =
             let pn = Chop_dfg.Graph.node g p in
             if not (Chop_dfg.Op.is_computational pn.Chop_dfg.Graph.op) then (s, off)
             else
-              let ps = IntMap.find p !starts in
-              let poff = IntMap.find p !offsets in
+              let ps = starts.(p) in
+              let poff = offsets.(p) in
               let avail = poff +. delay pn in
               let cs, coff =
                 if avail +. d <= budget then (ps, avail) else (ps + 1, 0.)
@@ -85,21 +80,27 @@ let run ~delay ~budget ~alloc g =
       in
       let s, off = place step0 offset0 in
       Hashtbl.replace usage (cls, s) (used cls s + 1);
-      starts := IntMap.add id s !starts;
-      offsets := IntMap.add id off !offsets)
+      starts.(id) <- s;
+      offsets.(id) <- off)
     order;
-  let start_list = List.map (fun n -> (n.Chop_dfg.Graph.id, IntMap.find n.Chop_dfg.Graph.id !starts)) ops in
-  let latencies = List.map (fun n -> (n.Chop_dfg.Graph.id, 1)) ops in
-  let length =
-    List.fold_left (fun acc (_, s) -> max acc (s + 1)) 0 start_list
-  in
-  ( { Schedule.graph = g; alloc; starts = start_list; latencies; length },
-    List.map
-      (fun n -> (n.Chop_dfg.Graph.id, IntMap.find n.Chop_dfg.Graph.id !offsets))
-      ops )
+  let ids = Array.of_list (List.map (fun n -> n.Chop_dfg.Graph.id) ops) in
+  ( Schedule.make ~graph:g ~alloc ~order:ids
+      ~start:(fun id -> starts.(id))
+      ~latency:(fun _ -> 1)
+      (),
+    List.map (fun id -> (id, offsets.(id))) (Array.to_list ids) )
 
 let check ~delay ~budget (sched, offsets) =
   let g = sched.Schedule.graph in
+  (* offset by node id; the first binding of an id wins, as with an
+     association list *)
+  let offset = Array.make (Chop_dfg.Graph.size g) Float.nan in
+  List.iter
+    (fun (id, off) -> if Float.is_nan offset.(id) then offset.(id) <- off)
+    offsets;
+  let offset id =
+    if Float.is_nan offset.(id) then raise Not_found else offset.(id)
+  in
   let exception Bad of string in
   try
     (* resources *)
@@ -113,9 +114,10 @@ let check ~delay ~budget (sched, offsets) =
           (Schedule.busy_profile sched ~cls))
       sched.Schedule.alloc;
     (* dependences and chain delays *)
-    List.iter
-      (fun (id, s) ->
-        let off = List.assoc id offsets in
+    Array.iter
+      (fun id ->
+        let s = sched.Schedule.starts.(id) in
+        let off = offset id in
         let n = Chop_dfg.Graph.node g id in
         if off +. delay n > budget +. 1e-9 then
           raise (Bad (Printf.sprintf "node %d overruns the cycle budget" id));
@@ -123,11 +125,11 @@ let check ~delay ~budget (sched, offsets) =
           (fun p ->
             let pn = Chop_dfg.Graph.node g p in
             if Chop_dfg.Op.is_computational pn.Chop_dfg.Graph.op then begin
-              let ps = List.assoc p sched.Schedule.starts in
+              let ps = sched.Schedule.starts.(p) in
               if s < ps then
                 raise (Bad (Printf.sprintf "node %d precedes its operand" id));
               if s = ps then begin
-                let poff = List.assoc p offsets in
+                let poff = offset p in
                 if off +. 1e-9 < poff +. delay pn then
                   raise
                     (Bad
@@ -136,6 +138,6 @@ let check ~delay ~budget (sched, offsets) =
               end
             end)
           (Chop_dfg.Graph.preds g id))
-      sched.Schedule.starts;
+      sched.Schedule.order;
     Ok ()
   with Bad reason -> Error reason

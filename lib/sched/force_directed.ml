@@ -148,18 +148,14 @@ let run ?(latency = default_latency) ~length g =
         remaining := List.filter (fun x -> x <> id) !remaining
     end
   done;
-  let starts =
-    List.map (fun n -> (n.Chop_dfg.Graph.id, IntMap.find n.Chop_dfg.Graph.id !fixed)) ops
-  in
-  let latencies = List.map (fun n -> (n.Chop_dfg.Graph.id, lat n)) ops in
+  let start id = IntMap.find id !fixed in
   (* implied allocation: per-class peak concurrency *)
   let peak = Hashtbl.create 8 in
   let usage = Hashtbl.create 64 in
   List.iter
     (fun n ->
-      let id = n.Chop_dfg.Graph.id in
       let cls = Chop_dfg.Op.functional_class n.Chop_dfg.Graph.op in
-      let s = List.assoc id starts in
+      let s = start n.Chop_dfg.Graph.id in
       for step = s to s + lat n - 1 do
         let key = (cls, step) in
         let u = 1 + Option.value ~default:0 (Hashtbl.find_opt usage key) in
@@ -172,18 +168,11 @@ let run ?(latency = default_latency) ~length g =
     Hashtbl.fold (fun cls n acc -> (cls, n) :: acc) peak []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  let real_length =
-    List.fold_left
-      (fun acc (id, s) -> max acc (s + List.assoc id latencies))
-      0 starts
-  in
-  {
-    Schedule.graph = g;
-    alloc;
-    starts;
-    latencies;
-    length = max length real_length;
-  }
+  Schedule.make ~min_length:length ~graph:g ~alloc
+    ~order:(Array.of_list (List.map (fun n -> n.Chop_dfg.Graph.id) ops))
+    ~start
+    ~latency:(fun id -> lat (Chop_dfg.Graph.node g id))
+    ()
 
 let min_units ?(latency = default_latency) ~length g =
   (run ~latency ~length g).Schedule.alloc

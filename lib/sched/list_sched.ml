@@ -1,19 +1,35 @@
 (* The scheduler is the innermost loop of BAD prediction: one [run] per
    candidate allocation per partition, thousands per exploration.  All
    per-node state lives in dense arrays indexed by node id (builder ids
-   are dense 0..size-1), and the loop below allocates nothing: the ready
-   set and the in-flight set are counted array segments, and the urgency
-   ordering is an in-place stable insertion sort.
+   are dense 0..size-1).
 
-   The issue order is observable through [Schedule.t.starts], so every
+   The issue order is observable through [Schedule.t.order], so every
    ordering decision replicates the original list-based semantics exactly:
 
    - the ready set behaves as a stack (newly ready operations are
-     considered first among equals).  It is stored reversed — logical
-     head at index [ready_n - 1] — so a logical prepend is an append;
-   - ties in urgency preserve that logical order (stable sort);
+     considered first among equals);
+   - each step stable-sorts it by decreasing urgency and issues in that
+     order while units are free; the operations left over are pushed back
+     in sorted order, so the next step sees them reversed;
    - retirements are processed newest-issued-first, matching the order a
-     prepend-built in-flight list yields. *)
+     prepend-built in-flight list yields.
+
+   Sorting the whole ready set every step costs O(ready) per step, and a
+   wide graph keeps hundreds of operations ready for hundreds of steps.
+   Two facts remove that cost.  First, units are per class, so a step
+   issues, for each class [c], the first [free c] class-[c] operations of
+   the sorted order, whatever the other classes hold.  Second, the order
+   only ever changes at its ends: each step reverses every run of equal
+   urgency and puts the newly ready in front of their run.  So each
+   (class, urgency) run is a deque of ids ordered by a per-urgency
+   coordinate, and one global flag says which end of every run is
+   currently its front.  A step pops the fronts of each class's most
+   urgent runs (kept per class in a set of urgencies) and sorts only the
+   operations it issued, by urgency and coordinate, to recover their
+   interleaving.  Cost: O(log ready) per operation plus O(classes + units
+   in flight) per step. *)
+
+module IntSet = Set.Make (Int)
 
 exception No_progress of { graph : string; ops : int; bound : int }
 
@@ -86,25 +102,53 @@ let run ~latency ~alloc g =
       in
       urg.(id) <- lat.(id) + downstream)
     (List.rev (Chop_dfg.Graph.nodes g));
-  (* ready stack, stored reversed: logical head = ready.(ready_n - 1) *)
-  let ready = Array.make (max 1 n) 0 in
-  let ready_n = ref 0 in
+  (* deque storage: key (class, urgency) owns 2 x (its op count) slots
+     of [buf], starting from the middle, enough for any mix of front and
+     back insertions *)
+  let n_cls = Array.length classes in
+  let width = 1 + Array.fold_left max 0 urg in
+  let key id = (cls_idx.(id) * width) + urg.(id) in
+  let per_key = Array.make (n_cls * width) 0 in
+  List.iter
+    (fun nd ->
+      let id = nd.Chop_dfg.Graph.id in
+      per_key.(key id) <- per_key.(key id) + 1)
+    ops;
+  let head = Array.make (n_cls * width) 0 in
+  let tail = Array.make (n_cls * width) 0 in
+  let base = ref 0 in
+  Array.iteri
+    (fun k count ->
+      head.(k) <- !base + count;
+      tail.(k) <- !base + count;
+      base := !base + (2 * count))
+    per_key;
+  let buf = Array.make (max 1 !base) 0 in
+  (* position of each ready op within its urgency run, shared by all
+     classes; new coordinates go below [lo] or at [hi] *)
+  let coord = Array.make (max 1 n) 0 in
+  let lo = Array.make width 0 and hi = Array.make width 0 in
+  (* per class: the urgencies of its non-empty runs *)
+  let runs = Array.make n_cls IntSet.empty in
+  (* the front of every run is its low-coordinate end when [forward] *)
+  let forward = ref false in
+  let fresh = Array.make (max 1 n) 0 and fresh_n = ref 0 in
   let push_ready id =
-    ready.(!ready_n) <- id;
-    incr ready_n
+    fresh.(!fresh_n) <- id;
+    incr fresh_n
   in
   List.iter
     (fun nd -> if pending.(nd.Chop_dfg.Graph.id) = 0 then push_ready nd.Chop_dfg.Graph.id)
     ops;
-  let order = Array.make (max 1 n) 0 in
+  (* operations issued in the current step *)
+  let batch = Array.make (max 1 op_count) 0 in
   (* operations in flight: finish step + id, newest at the highest index *)
   let fin_step = Array.make (max 1 op_count) 0 in
   let fin_id = Array.make (max 1 op_count) 0 in
   let fin_n = ref 0 in
-  let start_id = Array.make (max 1 op_count) 0 in
-  let start_at = Array.make (max 1 op_count) 0 in
-  let start_n = ref 0 in
-  let n_left = ref op_count in
+  let issued = Array.make op_count 0 in
+  let start_at = Array.make (max 1 n) 0 in
+  let issued_n = ref 0 in
   let step = ref 0 in
   (* Each iteration either issues an operation or fast-forwards [step] to
      the next retirement, so a terminating run takes at most on the order
@@ -116,7 +160,7 @@ let run ~latency ~alloc g =
   let max_lat = Array.fold_left max 1 lat in
   let bound = 64 + (4 * op_count * max_lat) in
   let guard = ref 0 in
-  while !n_left > 0 do
+  while !issued_n < op_count do
     incr guard;
     if !guard > bound then
       raise (No_progress { graph = Chop_dfg.Graph.name g; ops = op_count; bound });
@@ -146,40 +190,77 @@ let run ~latency ~alloc g =
       done;
       fin_n := !w
     end;
-    (* issue by decreasing urgency; ties keep the ready stack's order *)
-    let cnt = !ready_n in
-    for i = 0 to cnt - 1 do
-      order.(i) <- ready.(cnt - 1 - i)
+    (* every run reverses; then the newly ready, newest first, go in front
+       of their run: pushing them oldest first at the front end does that *)
+    forward := not !forward;
+    for i = 0 to !fresh_n - 1 do
+      let id = fresh.(i) in
+      let u = urg.(id) and k = key id in
+      if !forward then begin
+        lo.(u) <- lo.(u) - 1;
+        coord.(id) <- lo.(u);
+        head.(k) <- head.(k) - 1;
+        buf.(head.(k)) <- id
+      end
+      else begin
+        coord.(id) <- hi.(u);
+        hi.(u) <- hi.(u) + 1;
+        buf.(tail.(k)) <- id;
+        tail.(k) <- tail.(k) + 1
+      end;
+      runs.(cls_idx.(id)) <- IntSet.add u runs.(cls_idx.(id))
     done;
-    for i = 1 to cnt - 1 do
-      let v = order.(i) in
-      let u = urg.(v) in
+    fresh_n := 0;
+    (* per class, take the fronts of the most urgent runs while units are
+       free *)
+    let nb = ref 0 in
+    for c = 0 to n_cls - 1 do
+      while free.(c) > 0 && not (IntSet.is_empty runs.(c)) do
+        let u = IntSet.max_elt runs.(c) in
+        let k = (c * width) + u in
+        let id =
+          if !forward then begin
+            head.(k) <- head.(k) + 1;
+            buf.(head.(k) - 1)
+          end
+          else begin
+            tail.(k) <- tail.(k) - 1;
+            buf.(tail.(k))
+          end
+        in
+        if head.(k) = tail.(k) then runs.(c) <- IntSet.remove u runs.(c);
+        free.(c) <- free.(c) - 1;
+        batch.(!nb) <- id;
+        incr nb
+      done
+    done;
+    (* issue order: decreasing urgency, then front to back within a run *)
+    let before a b =
+      urg.(a) > urg.(b)
+      || urg.(a) = urg.(b)
+         && if !forward then coord.(a) < coord.(b) else coord.(a) > coord.(b)
+    in
+    for i = 1 to !nb - 1 do
+      let v = batch.(i) in
       let j = ref (i - 1) in
-      while !j >= 0 && urg.(order.(!j)) < u do
-        order.(!j + 1) <- order.(!j);
+      while !j >= 0 && before v batch.(!j) do
+        batch.(!j + 1) <- batch.(!j);
         decr j
       done;
-      order.(!j + 1) <- v
+      batch.(!j + 1) <- v
     done;
-    ready_n := 0;
-    for i = 0 to cnt - 1 do
-      let id = order.(i) in
-      let c = cls_idx.(id) in
-      if free.(c) > 0 then begin
-        free.(c) <- free.(c) - 1;
-        start_id.(!start_n) <- id;
-        start_at.(!start_n) <- !step;
-        incr start_n;
-        fin_step.(!fin_n) <- !step + lat.(id);
-        fin_id.(!fin_n) <- id;
-        incr fin_n;
-        decr n_left
-      end
-      else push_ready id
+    for i = 0 to !nb - 1 do
+      let id = batch.(i) in
+      issued.(!issued_n) <- id;
+      incr issued_n;
+      start_at.(id) <- !step;
+      fin_step.(!fin_n) <- !step + lat.(id);
+      fin_id.(!fin_n) <- id;
+      incr fin_n
     done;
     incr step;
     (* fast-forward to the next retirement when nothing can issue *)
-    if (!ready_n > 0 || !n_left > 0) && !fin_n > 0 then begin
+    if !issued_n < op_count && !fin_n > 0 then begin
       let next = ref max_int in
       for i = 0 to !fin_n - 1 do
         if fin_step.(i) < !next then next := fin_step.(i)
@@ -187,12 +268,10 @@ let run ~latency ~alloc g =
       if !next > !step then step := !next
     end
   done;
-  let starts = List.init !start_n (fun i -> (start_id.(i), start_at.(i))) in
-  let latencies = List.map (fun (id, _) -> (id, lat.(id))) starts in
-  let length =
-    List.fold_left (fun acc (id, st) -> max acc (st + lat.(id))) 0 starts
-  in
-  { Schedule.graph = g; alloc; starts; latencies; length }
+  Schedule.make ~graph:g ~alloc ~order:issued
+    ~start:(fun id -> start_at.(id))
+    ~latency:(fun id -> lat.(id))
+    ()
 
 let minimal_alloc g =
   Chop_dfg.Graph.op_profile g |> List.map (fun (cls, _) -> (cls, 1))

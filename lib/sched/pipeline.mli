@@ -13,7 +13,9 @@ val feasible_ii : Schedule.t -> ii:int -> bool
 val min_ii : Schedule.t -> int
 (** Smallest feasible initiation interval; at most the schedule length
     (which is always feasible), at least the resource-bound
-    [ceil (work_c / alloc_c)] over classes [c]. *)
+    [ceil (work_c / alloc_c)] over classes [c].  Each class's busy profile
+    is built once; each probed II then costs one O(length) fold per
+    class. *)
 
 val stage_count : Schedule.t -> ii:int -> int
 (** Number of pipeline stages when initiating every [ii] steps:

@@ -16,26 +16,52 @@ let validate_alloc alloc =
 type t = {
   graph : Chop_dfg.Graph.t;
   alloc : alloc;
-  starts : (Chop_dfg.Graph.node_id * int) list;
-  latencies : (Chop_dfg.Graph.node_id * int) list;
+  order : Chop_dfg.Graph.node_id array;
+  starts : int array;
+  latencies : int array;
   length : int;
 }
 
-let start s id = List.assoc id s.starts
-let latency s id = List.assoc id s.latencies
-let finish s id = start s id + latency s id
+let make ?(min_length = 0) ~graph ~alloc ~order ~start ~latency () =
+  let n = Chop_dfg.Graph.size graph in
+  let starts = Array.make n (-1) and latencies = Array.make n 0 in
+  let length = ref min_length in
+  Array.iter
+    (fun id ->
+      if not (Chop_dfg.Graph.mem graph id) || starts.(id) >= 0 then
+        invalid_arg (Printf.sprintf "Schedule.make: node %d unknown or repeated" id);
+      let st = start id and lat = latency id in
+      if st < 0 || lat < 1 then
+        invalid_arg
+          (Printf.sprintf "Schedule.make: node %d at %d for %d steps" id st lat);
+      starts.(id) <- st;
+      latencies.(id) <- lat;
+      length := max !length (st + lat))
+    order;
+  if Array.length order <> Chop_dfg.Graph.op_count graph
+     || List.exists
+          (fun nd -> starts.(nd.Chop_dfg.Graph.id) < 0)
+          (Chop_dfg.Graph.operations graph)
+  then invalid_arg "Schedule.make: order must cover exactly the operations";
+  { graph; alloc; order; starts; latencies; length = !length }
+
+let scheduled s id = id >= 0 && id < Array.length s.starts && s.starts.(id) >= 0
+let start s id = if scheduled s id then s.starts.(id) else raise Not_found
+let latency s id = if scheduled s id then s.latencies.(id) else raise Not_found
+
+let finish s id = start s id + s.latencies.(id)
 
 let busy_profile s ~cls =
   let profile = Array.make (max 1 s.length) 0 in
-  List.iter
-    (fun (id, st) ->
+  Array.iter
+    (fun id ->
       let n = Chop_dfg.Graph.node s.graph id in
       if Chop_dfg.Op.functional_class n.Chop_dfg.Graph.op = cls then
-        for step = st to st + latency s id - 1 do
-          if step < Array.length profile then
-            profile.(step) <- profile.(step) + 1
+        let last = min (Array.length profile) (s.starts.(id) + s.latencies.(id)) in
+        for step = s.starts.(id) to last - 1 do
+          profile.(step) <- profile.(step) + 1
         done)
-    s.starts;
+    s.order;
   profile
 
 let check s =
@@ -43,12 +69,12 @@ let check s =
   let exception Bad of string in
   try
     (* precedence *)
-    List.iter
-      (fun (id, st) ->
+    Array.iter
+      (fun id ->
+        let st = s.starts.(id) in
         List.iter
           (fun p ->
-            let pn = Chop_dfg.Graph.node g p in
-            if Chop_dfg.Op.is_computational pn.Chop_dfg.Graph.op then
+            if s.starts.(p) >= 0 then
               let pf = finish s p in
               if st < pf then
                 raise
@@ -56,7 +82,7 @@ let check s =
                      (Printf.sprintf "node %d starts at %d before pred %d finishes at %d"
                         id st p pf)))
           (Chop_dfg.Graph.preds g id))
-      s.starts;
+      s.order;
     (* resources *)
     List.iter
       (fun (cls, cap) ->
@@ -70,11 +96,11 @@ let check s =
           (busy_profile s ~cls))
       s.alloc;
     (* length *)
-    List.iter
-      (fun (id, _) ->
+    Array.iter
+      (fun id ->
         if finish s id > s.length then
           raise (Bad (Printf.sprintf "node %d finishes after schedule length" id)))
-      s.starts;
+      s.order;
     Ok ()
   with Bad reason -> Error reason
 
@@ -84,9 +110,11 @@ let pp ppf s =
     (String.concat "; "
        (List.map (fun (c, n) -> Printf.sprintf "%s:%d" c n) s.alloc));
   List.iter
-    (fun (id, st) ->
+    (fun id ->
       let n = Chop_dfg.Graph.node s.graph id in
-      Format.fprintf ppf "  %s @@ %d (+%d)@," n.Chop_dfg.Graph.name st
-        (latency s id))
-    (List.sort (fun (_, a) (_, b) -> Int.compare a b) s.starts);
+      Format.fprintf ppf "  %s @@ %d (+%d)@," n.Chop_dfg.Graph.name s.starts.(id)
+        s.latencies.(id))
+    (List.stable_sort
+       (fun a b -> Int.compare s.starts.(a) s.starts.(b))
+       (Array.to_list s.order));
   Format.fprintf ppf "@]"

@@ -227,6 +227,47 @@ let test_predictions_internally_consistent () =
             p.Prediction.timing.latency_dp p.Prediction.timing.ii_dp)
     preds
 
+(* Prediction pins: a digest of the whole predict output for one random
+   DAG, recorded from the list-based scheduler, so any drift in
+   tie-breaking or in a BAD stage fails here.  The digest covers each
+   prediction's style, module set, allocation, timing, area triplet,
+   register bits and mux count, in output order. *)
+let prediction_digest preds =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (p : Prediction.t) ->
+      let t = p.Prediction.timing and a = p.Prediction.area in
+      Printf.bprintf buf "%s|%s|%s|%d|%d|%d|%.17g|%.17g|%.17g|%.17g|%.17g|%d|%d\n"
+        (match p.Prediction.style with
+        | Chop_tech.Style.Pipelined -> "p"
+        | Chop_tech.Style.Non_pipelined -> "n")
+        (String.concat ","
+           (List.map (fun c -> c.Chop_tech.Component.cname) p.Prediction.module_set))
+        (String.concat ","
+           (List.map (fun (c, n) -> Printf.sprintf "%s:%d" c n) p.Prediction.alloc))
+        t.Prediction.ii_dp t.Prediction.latency_dp t.Prediction.stages
+        t.Prediction.clock_main t.Prediction.overhead a.Chop_util.Triplet.low
+        a.Chop_util.Triplet.likely a.Chop_util.Triplet.high
+        p.Prediction.register_bits p.Prediction.mux_count)
+    preds;
+  Printf.sprintf "%d:%s" (List.length preds)
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_predictions_pinned () =
+  List.iter
+    (fun (ops, style, cfg, expected) ->
+      let g = Chop_dfg.Benchmarks.random_dag ~ops ~seed:7 () in
+      Alcotest.(check string)
+        (Printf.sprintf "%d ops, %s" ops style)
+        expected
+        (prediction_digest (Predictor.predict (cfg ()) ~label:"P1" g)))
+    [
+      (100, "single-cycle", cfg1, "576:6fc9c06e13ff058dc6c6e84314e84627");
+      (100, "multi-cycle", cfg2, "465:cd5dea1bfb626b173b21013292a23ce1");
+      (300, "single-cycle", cfg1, "576:14e5852bc7d81e423e3ad693212945ae");
+      (300, "multi-cycle", cfg2, "576:43d955ad2a0fc9c4ca17af859411a65a");
+    ]
+
 let test_single_cycle_clock_stretches () =
   (* a mul3-based single-cycle design cannot run at the nominal clock:
      7370 ns exceeds the 3000 ns data-path cycle *)
@@ -466,6 +507,7 @@ let () =
           tc "with memories" `Quick test_predict_with_memories;
           tc "internally consistent" `Quick test_predictions_internally_consistent;
           tc "single-cycle clock stretch" `Quick test_single_cycle_clock_stretches;
+          tc "pinned digests" `Quick test_predictions_pinned;
           tc "prune" `Quick test_prune_keeps_feasible_frontier;
           tc "testability overhead" `Quick test_testability_overhead_grows_area;
           tc "describe" `Quick test_describe_mentions_decisions;

@@ -67,7 +67,7 @@ let test_value_intervals_positive () =
   List.iter
     (fun iv ->
       Alcotest.(check bool) "death after birth" true
-        (iv.Chop_rtl.Binding.death > iv.Chop_rtl.Binding.birth))
+        (iv.Chop_sched.Lifetime.death > iv.Chop_sched.Lifetime.birth))
     ivs
 
 let test_register_binding_disjoint_lifetimes () =
@@ -76,7 +76,7 @@ let test_register_binding_disjoint_lifetimes () =
   Alcotest.(check bool) "registers used" true (count > 0);
   let ivs = Chop_rtl.Binding.value_intervals s in
   let interval_of p =
-    List.find (fun iv -> iv.Chop_rtl.Binding.producer = p) ivs
+    List.find (fun iv -> iv.Chop_sched.Lifetime.producer = p) ivs
   in
   List.iter
     (fun (p1, r1) ->
@@ -85,8 +85,8 @@ let test_register_binding_disjoint_lifetimes () =
           if p1 < p2 && r1 = r2 then begin
             let a = interval_of p1 and b = interval_of p2 in
             Alcotest.(check bool) "sharing implies disjoint" true
-              (a.Chop_rtl.Binding.death <= b.Chop_rtl.Binding.birth
-              || b.Chop_rtl.Binding.death <= a.Chop_rtl.Binding.birth)
+              (a.Chop_sched.Lifetime.death <= b.Chop_sched.Lifetime.birth
+              || b.Chop_sched.Lifetime.death <= a.Chop_sched.Lifetime.birth)
           end)
         assignment)
     assignment

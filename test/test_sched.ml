@@ -36,7 +36,10 @@ let test_check_rejects_violations () =
   let g = ar () in
   let s = schedule_of ~alloc:[ ("add", 2); ("mult", 2) ] g in
   (* corrupt: start everything at 0 *)
-  let broken = { s with Schedule.starts = List.map (fun (id, _) -> (id, 0)) s.Schedule.starts } in
+  let broken =
+    Schedule.make ~graph:g ~alloc:s.Schedule.alloc ~order:s.Schedule.order
+      ~start:(fun _ -> 0) ~latency:(Schedule.latency s) ()
+  in
   match Schedule.check broken with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "broken schedule accepted"
@@ -444,6 +447,239 @@ let urgency_schedule_is_consistent =
           done;
           !ok))
 
+(* ------------------------------------------------------------------ *)
+(* Reference oracles: naive list-based versions of the dense stages,
+   compared on random DAGs, random allocations and random latencies. *)
+
+module G = Chop_dfg.Graph
+
+(* A random DAG, optionally renumbered so ids stop following construction
+   order, with per-class unit counts 1..4 and, when [multi], latencies
+   1..3 per node. *)
+let random_case (ops, seed, multi, renumber) =
+  let g = Chop_dfg.Benchmarks.random_dag ~width:(2 + (seed mod 9)) ~ops ~seed () in
+  let g = if renumber then Chop_dfg.Transform.renumber ~seed g else g in
+  let alloc =
+    List.map
+      (fun (cls, _) -> (cls, 1 + (Hashtbl.hash (seed, cls) mod 4)))
+      (G.op_profile g)
+  in
+  let latency n =
+    if multi then 1 + (Hashtbl.hash (seed, n.G.name) mod 3) else 1
+  in
+  (g, alloc, latency)
+
+let arb_case =
+  QCheck.(quad (1 -- 60) (0 -- 1000) bool bool)
+
+(* The list scheduler as first written: the ready set is a list used as a
+   stack, stable-sorted by decreasing urgency every step; unissued
+   operations are pushed back in sorted order; in-flight operations retire
+   newest-issued-first.  Returns the issue order as (id, start) and the
+   length. *)
+let reference_list_sched ~latency ~alloc g =
+  let comp id = Chop_dfg.Op.is_computational (G.node g id).G.op in
+  let lat id = if comp id then latency (G.node g id) else 0 in
+  let cls id = Chop_dfg.Op.functional_class (G.node g id).G.op in
+  let urg = Hashtbl.create 64 in
+  List.iter
+    (fun n ->
+      let down =
+        List.fold_left (fun b s -> max b (Hashtbl.find urg s)) 0 (G.succs g n.G.id)
+      in
+      Hashtbl.replace urg n.G.id (lat n.G.id + down))
+    (List.rev (G.nodes g));
+  let urg id = Hashtbl.find urg id in
+  let pending = Hashtbl.create 64 in
+  List.iter
+    (fun n ->
+      Hashtbl.replace pending n.G.id
+        (List.length (List.filter comp (G.preds g n.G.id))))
+    (G.operations g);
+  let free = Hashtbl.create 8 in
+  List.iter (fun (c, k) -> Hashtbl.replace free c k) alloc;
+  let ready =
+    List.fold_left
+      (fun acc n -> if Hashtbl.find pending n.G.id = 0 then n.G.id :: acc else acc)
+      [] (G.operations g)
+  in
+  let rec loop ~fuel step ready in_flight issued left =
+    if fuel = 0 then failwith "reference scheduler did not terminate";
+    if left = 0 then List.rev issued
+    else begin
+      let retiring, running = List.partition (fun (f, _) -> f <= step) in_flight in
+      let ready =
+        List.fold_left
+          (fun ready (_, id) ->
+            Hashtbl.replace free (cls id) (Hashtbl.find free (cls id) + 1);
+            List.fold_left
+              (fun ready s ->
+                match Hashtbl.find_opt pending s with
+                | Some k ->
+                    Hashtbl.replace pending s (k - 1);
+                    if k = 1 then s :: ready else ready
+                | None -> ready)
+              ready (G.succs g id))
+          ready retiring
+      in
+      let sorted = List.stable_sort (fun a b -> Int.compare (urg b) (urg a)) ready in
+      let ready, in_flight, issued, left =
+        List.fold_left
+          (fun (ready, in_flight, issued, left) id ->
+            let c = cls id in
+            if Hashtbl.find free c > 0 then begin
+              Hashtbl.replace free c (Hashtbl.find free c - 1);
+              (ready, (step + lat id, id) :: in_flight, (id, step) :: issued, left - 1)
+            end
+            else (id :: ready, in_flight, issued, left))
+          ([], running, issued, left) sorted
+      in
+      let step = step + 1 in
+      let step =
+        if (ready <> [] || left > 0) && in_flight <> [] then
+          max step (List.fold_left (fun m (f, _) -> min m f) max_int in_flight)
+        else step
+      in
+      loop ~fuel:(fuel - 1) step ready in_flight issued left
+    end
+  in
+  let issued =
+    loop ~fuel:100_000 0 ready [] [] (List.length (G.operations g))
+  in
+  let length = List.fold_left (fun m (id, st) -> max m (st + lat id)) 0 issued in
+  (issued, length)
+
+let list_sched_matches_reference =
+  QCheck.Test.make ~name:"list_sched equals the list-based reference" ~count:300
+    arb_case
+    (fun case ->
+      let g, alloc, latency = random_case case in
+      let s = List_sched.run ~latency ~alloc g in
+      let issued, length = reference_list_sched ~latency ~alloc g in
+      List.map (fun id -> (id, Schedule.start s id)) (Array.to_list s.Schedule.order)
+      = issued
+      && s.Schedule.length = length)
+
+(* Lifetimes recounted step by step from the accessors. *)
+let naive_lifetime ?ii s =
+  let g = s.Schedule.graph in
+  let horizon = max 1 s.Schedule.length in
+  let usage = Array.make horizon 0 and counts = Array.make horizon 0 in
+  List.iter
+    (fun n ->
+      let id = n.G.id in
+      let succ = List.map (G.node g) (G.succs g id) in
+      let consumers =
+        List.filter (fun c -> Chop_dfg.Op.is_computational c.G.op) succ
+      in
+      let feeds_output = List.exists (fun c -> c.G.op = Chop_dfg.Op.Output) succ in
+      let birth =
+        match n.G.op with
+        | Chop_dfg.Op.Input -> Some 0
+        | Chop_dfg.Op.Const | Chop_dfg.Op.Output -> None
+        | _ -> Some (Schedule.finish s id)
+      in
+      match birth with
+      | Some birth when consumers <> [] || feeds_output ->
+          let death =
+            if feeds_output then horizon
+            else
+              List.fold_left
+                (fun acc c -> max acc (Schedule.start s c.G.id + 1))
+                birth consumers
+          in
+          for step = birth to min (max death (birth + 1) - 1) (horizon - 1) do
+            let slot = match ii with Some ii -> step mod ii | None -> step in
+            usage.(slot) <- usage.(slot) + n.G.width;
+            counts.(slot) <- counts.(slot) + 1
+          done
+      | Some _ | None -> ())
+    (G.nodes g);
+  let bits = Array.fold_left max 0 usage in
+  let peak = ref 0 in
+  Array.iteri (fun i u -> if u > usage.(!peak) then peak := i) usage;
+  { Lifetime.register_bits = bits; peak_values = counts.(!peak) }
+
+let lifetime_matches_naive =
+  QCheck.Test.make ~name:"lifetime equals a per-step count" ~count:200 arb_case
+    (fun case ->
+      let g, alloc, latency = random_case case in
+      let s = List_sched.run ~latency ~alloc g in
+      Lifetime.analyze s = naive_lifetime s
+      && List.for_all
+           (fun ii -> Lifetime.analyze ~ii s = naive_lifetime ~ii s)
+           (Chop_util.Listx.range 1 (s.Schedule.length + 2)))
+
+(* Feasibility of an II from busy counts recomputed per step, probed from
+   1 upward. *)
+let naive_min_ii s =
+  let g = s.Schedule.graph in
+  let feasible ii =
+    ii >= s.Schedule.length
+    || List.for_all
+         (fun (cls, cap) ->
+           let folded = Array.make ii 0 in
+           for step = 0 to s.Schedule.length - 1 do
+             List.iter
+               (fun n ->
+                 if
+                   Chop_dfg.Op.functional_class n.G.op = cls
+                   && Schedule.start s n.G.id <= step
+                   && step < Schedule.finish s n.G.id
+                 then folded.(step mod ii) <- folded.(step mod ii) + 1)
+               (G.operations g)
+           done;
+           Array.for_all (fun busy -> busy <= cap) folded)
+         s.Schedule.alloc
+  in
+  let rec probe ii = if feasible ii then ii else probe (ii + 1) in
+  probe 1
+
+let min_ii_matches_naive =
+  QCheck.Test.make ~name:"min_ii equals the probe-by-probe search" ~count:150
+    arb_case
+    (fun case ->
+      let g, alloc, latency = random_case case in
+      let s = List_sched.run ~latency ~alloc g in
+      Pipeline.min_ii s = naive_min_ii s)
+
+let check_accepts_every_scheduler =
+  QCheck.Test.make ~name:"check accepts list, force-directed and chained output"
+    ~count:60 arb_case
+    (fun ((ops, _, _, _) as case) ->
+      let g, alloc, latency = random_case case in
+      let ok s = Schedule.check s = Ok () in
+      let cp = Chop_dfg.Analysis.critical_path ~latency g in
+      (* a budget of 1.5 unit delays admits no chain: a plain schedule *)
+      let unchained, _ =
+        Chain_sched.run ~delay:(fun _ -> 100.) ~budget:150. ~alloc g
+      in
+      let chained = Chain_sched.run ~delay:chain_delay ~budget:900. ~alloc g in
+      ok (List_sched.run ~latency ~alloc g)
+      && (ops > 25 || ok (Force_directed.run ~latency ~length:(cp + 2) g))
+      && ok unchained
+      && Chain_sched.check ~delay:chain_delay ~budget:900. chained = Ok ())
+
+let test_make_validates () =
+  let g = ar () in
+  let s = schedule_of ~alloc:[ ("add", 2); ("mult", 2) ] g in
+  let make order =
+    Schedule.make ~graph:g ~alloc:s.Schedule.alloc ~order
+      ~start:(Schedule.start s) ~latency:(Schedule.latency s) ()
+  in
+  Alcotest.(check int) "same length" s.Schedule.length
+    (make s.Schedule.order).Schedule.length;
+  List.iter
+    (fun (what, order) ->
+      match make order with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail (what ^ " accepted"))
+    [
+      ( "missing operation",
+        Array.sub s.Schedule.order 1 (Array.length s.Schedule.order - 1) );
+      ("repeated operation", Array.append [| s.Schedule.order.(0) |] s.Schedule.order);
+    ]
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "chop_sched"
@@ -455,6 +691,14 @@ let () =
           tc "check accepts" `Quick test_check_accepts_list_schedule;
           tc "check rejects" `Quick test_check_rejects_violations;
           tc "busy profile" `Quick test_busy_profile_capped;
+          tc "make validates" `Quick test_make_validates;
+        ] );
+      ( "oracle",
+        [
+          QCheck_alcotest.to_alcotest list_sched_matches_reference;
+          QCheck_alcotest.to_alcotest lifetime_matches_naive;
+          QCheck_alcotest.to_alcotest min_ii_matches_naive;
+          QCheck_alcotest.to_alcotest check_accepts_every_scheduler;
         ] );
       ( "list_sched",
         [
